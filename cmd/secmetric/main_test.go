@@ -184,10 +184,6 @@ func TestCLIRank(t *testing.T) {
 	if err := run(context.Background(), []string{"rank", t.TempDir()}); err == nil {
 		t.Fatal("empty dir produced a ranking")
 	}
-	// The deprecated alias forwards to the same engine.
-	if err := run(context.Background(), []string{"hotspots", "-top", "3", dir}); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestCLIScoreJSON(t *testing.T) {

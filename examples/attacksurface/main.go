@@ -11,9 +11,10 @@ import (
 
 	"repro/internal/absint"
 	"repro/internal/attackgraph"
+	"repro/internal/core/unit"
 	"repro/internal/dataflow"
-	"repro/internal/ir"
-	"repro/internal/minic"
+	"repro/internal/lang"
+	"repro/internal/metrics"
 	"repro/internal/symexec"
 )
 
@@ -38,15 +39,11 @@ int handle_request(int reqlen) {
 `
 
 func main() {
-	prog, err := minic.Parse(serviceSource)
-	if err != nil {
-		log.Fatal(err)
+	u := unit.Load(metrics.File{Path: "service.mc", Language: lang.MiniC, Content: serviceSource})
+	if u.IR == nil {
+		log.Fatal(u.Err)
 	}
-	lowered, err := ir.Lower(prog)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fn := lowered.Funcs[0]
+	fn := u.IR.Funcs[0]
 
 	// Symbolic execution: enumerate feasible paths and count the input
 	// assignments that trigger each one.

@@ -79,12 +79,16 @@ func (d *AnalysisDiagnostics) Counts() map[FileStatus]int {
 	return out
 }
 
+// Degraded reports whether the file's pass did not complete (timeout or
+// contained panic).
+func (s FileStatus) Degraded() bool { return s == StatusTimeout || s == StatusPanic }
+
 // Degraded returns the files whose deep analysis did not complete this run
 // (timeout or contained panic) — the files whose enrichment is a zero.
 func (d *AnalysisDiagnostics) Degraded() []FileDiagnostic {
 	var out []FileDiagnostic
 	for _, f := range d.Files {
-		if f.Status == StatusTimeout || f.Status == StatusPanic {
+		if f.Status.Degraded() {
 			out = append(out, f)
 		}
 	}

@@ -16,12 +16,11 @@ import (
 	"repro/internal/ml"
 )
 
-// setHook installs the enrichment test hook for one test and restores the
-// nil production value afterwards.
+// setHook installs the per-file pass test hook for one test and restores
+// the nil production value afterwards.
 func setHook(t *testing.T, hook func(f metrics.File)) {
 	t.Helper()
-	enrichTestHook = hook
-	t.Cleanup(func() { enrichTestHook = nil })
+	t.Cleanup(SetFileTestHook(hook))
 }
 
 func assertFinite(t *testing.T, fv metrics.FeatureVector) {
@@ -120,7 +119,7 @@ func TestEnrichPanicNotCached(t *testing.T) {
 	}
 
 	// "Fix the bug" and re-run against the same cache.
-	enrichTestHook = nil
+	SetFileTestHook(nil)
 	_, diag, err := ExtractFeaturesDiagnostics(context.Background(), tree, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -167,7 +167,7 @@ func TestDegradedFileZeroFillsInterprocFeatures(t *testing.T) {
 
 	// Once the analyzer bug is gone, the same cache re-analyzes the file and
 	// the features reappear.
-	enrichTestHook = nil
+	SetFileTestHook(nil)
 	fixed, diag := extract(1)
 	if diag.Files[0].Status == StatusCacheHit {
 		t.Fatal("degraded result was cached")

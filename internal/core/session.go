@@ -7,9 +7,7 @@ import (
 	"sort"
 	"sync"
 
-	"repro/internal/lint"
 	"repro/internal/metrics"
-	"repro/internal/ml"
 	"repro/internal/trace"
 )
 
@@ -26,10 +24,9 @@ import (
 //     delta, maxima by reference-counted value multisets, duplicate-line
 //     and Halstead state as the same multiset maps the batch scan builds,
 //     floats derived at Features() time by the shared batch code.
-//   - Lint warnings are a per-file integer count (lint warnings depend
-//     only on the file), summed by delta.
-//   - Deep-analysis enrichments are cached per file; their two float sums
-//     (FeasiblePaths, CovSum) are not associative under reordering, so the
+//   - Per-file enrichments (lint count plus deep features) come from the
+//     batch extractor's per-file pass; their two float sums (FeasiblePaths,
+//     CovSum) are not associative under reordering, so the
 //     aggregate is re-folded over all files in path order each Apply using
 //     the same aggregateEnrichments the batch extractor uses. That fold is
 //     a handful of adds per file — microseconds even for large trees —
@@ -64,12 +61,9 @@ var ErrSessionEmpty = errors.New("core: changeset would leave the session empty"
 
 // sessionFile is one file's retained analysis state.
 type sessionFile struct {
-	file   metrics.File
-	scan   *metrics.FileScan
-	lints  int
-	enr    fileEnrichment
-	status FileStatus
-	detail string
+	file  metrics.File
+	scan  *metrics.FileScan
+	facts FileFacts
 }
 
 // Session holds the incremental analysis state of one tree. All methods
@@ -78,13 +72,12 @@ type Session struct {
 	name string
 	cfg  ExtractConfig
 
-	mu        sync.Mutex
-	files     map[string]*sessionFile
-	paths     []string // sorted; the canonical tree order
-	stats     *metrics.TreeStats
-	lintTotal int
-	seq       uint64
-	fv        metrics.FeatureVector // features after the last Apply
+	mu    sync.Mutex
+	files map[string]*sessionFile
+	paths []string // sorted; the canonical tree order
+	stats *metrics.TreeStats
+	seq   uint64
+	fv    metrics.FeatureVector // features after the last Apply
 }
 
 // NewSession returns an empty session. The first Apply must seed it with
@@ -231,78 +224,33 @@ func (s *Session) Apply(ctx context.Context, cs Changeset) (*ApplyResult, error)
 	changed = append(changed, cs.Modified...)
 	sort.Slice(changed, func(i, j int) bool { return changed[i].Path < changed[j].Path })
 
-	var ct cacheTraffic
-	results := make([]*sessionFile, len(changed))
-	if len(changed) > 0 {
-		workers := ml.EffectiveJobs(s.cfg.Jobs, len(changed))
-		jobs := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range jobs {
-					if ctx.Err() != nil {
-						continue
-					}
-					f := changed[i]
-					fs := ext.ChildAt(i, trace.SpanNameFile)
-					fs.SetLabel(f.Path)
-					fs.Add("bytes", int64(len(f.Content)))
-					sf := &sessionFile{file: f, scan: metrics.ScanFile(f)}
-					sf.lints = lint.CheckFile(f).Total()
-					sf.enr, sf.status, sf.detail = enrichFileCached(ctx, f, s.cfg, &ct, fs)
-					fs.End()
-					results[i] = sf
-				}
-			}()
-		}
-	dispatch:
-		for i := range changed {
-			select {
-			case jobs <- i:
-			case <-ctx.Done():
-				break dispatch
-			}
-		}
-		close(jobs)
-		wg.Wait()
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
+	// Each file's base-metric scan runs on the worker that finished it.
+	scans := make([]*metrics.FileScan, len(changed))
+	cfg := s.cfg
+	cfg.FileDone = func(i int, _ FileFacts) { scans[i] = metrics.ScanFile(changed[i]) }
+	facts, diag, err := cfg.runFiles(ctx, changed, Pass{Features: true}, ext, 0)
+	if err != nil {
+		return nil, err
 	}
 
 	// Commit phase: pure delta bookkeeping, no failure paths.
 	for _, p := range cs.Removed {
 		s.dropLocked(p)
 	}
-	for _, sf := range results {
-		if old, ok := s.files[sf.file.Path]; ok {
+	for i, f := range changed {
+		if old, ok := s.files[f.Path]; ok {
 			s.stats.Remove(old.scan)
-			s.lintTotal -= old.lints
 		} else {
-			s.insertPathLocked(sf.file.Path)
+			s.insertPathLocked(f.Path)
 		}
-		s.stats.Add(sf.scan)
-		s.lintTotal += sf.lints
-		s.files[sf.file.Path] = sf
+		s.stats.Add(scans[i])
+		s.files[f.Path] = &sessionFile{file: f, scan: scans[i], facts: facts[i]}
 	}
 	s.seq++
 
 	// Feature assembly, sharing the batch extractor's code paths.
 	fv := s.stats.Features()
-	fv[metrics.FeatLintWarnings] = float64(s.lintTotal)
-	enrs := make([]fileEnrichment, len(s.paths))
-	for i, p := range s.paths {
-		enrs[i] = s.files[p].enr
-	}
-	setEnrichmentFeatures(fv, aggregateEnrichments(enrs))
-
-	diag := &AnalysisDiagnostics{Files: make([]FileDiagnostic, len(results))}
-	for i, sf := range results {
-		diag.Files[i] = FileDiagnostic{Path: sf.file.Path, Status: sf.status, Detail: sf.detail}
-	}
-	diag.CacheHits, diag.CacheMisses = ct.hits.Load(), ct.misses.Load()
+	setEnrichmentFeatures(fv, aggregateEnrichments(len(s.paths), func(i int) fileEnrichment { return s.files[s.paths[i]].facts.enr }))
 
 	old := s.fv
 	s.fv = fv
@@ -320,7 +268,6 @@ func (s *Session) Apply(ctx context.Context, cs Changeset) (*ApplyResult, error)
 func (s *Session) dropLocked(p string) {
 	sf := s.files[p]
 	s.stats.Remove(sf.scan)
-	s.lintTotal -= sf.lints
 	delete(s.files, p)
 	i := sort.SearchStrings(s.paths, p)
 	s.paths = append(s.paths[:i], s.paths[i+1:]...)

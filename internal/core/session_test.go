@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/featcache"
 	"repro/internal/metrics"
@@ -242,6 +243,45 @@ func TestSessionCancelLeavesStateIntact(t *testing.T) {
 	assertSameFV(t, "post-cancel apply", res.Features, full)
 }
 
+// TestCancelDuringOnlyFile cancels the context while the only file of a
+// run is inside its pass — the single-worker path every one-file delta
+// takes. With or without a per-file deadline, Extract and Apply must return
+// ctx's error, and Apply must leave the session's seq and features as they
+// were, never commit the half-canceled changeset.
+func TestCancelDuringOnlyFile(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	seed := sessionFileAt(rng, "a.mc")
+	edit := sessionFileAt(rng, "a.mc")
+	for _, timeout := range []time.Duration{0, time.Minute} {
+		cfg := ExtractConfig{Jobs: 4, FileTimeout: timeout}
+		sess := NewSession("cancel-one", cfg)
+		if _, err := sess.Apply(context.Background(), Changeset{Added: []metrics.File{seed}}); err != nil {
+			t.Fatal(err)
+		}
+		before := sess.Features()
+
+		ctx, cancel := context.WithCancel(context.Background())
+		restore := SetFileTestHook(func(metrics.File) { cancel() })
+		_, applyErr := sess.Apply(ctx, Changeset{Modified: []metrics.File{edit}})
+		restore()
+		if !errors.Is(applyErr, context.Canceled) {
+			t.Fatalf("timeout=%v: Apply err = %v, want context.Canceled", timeout, applyErr)
+		}
+		if sess.Seq() != 1 {
+			t.Fatalf("timeout=%v: canceled Apply committed: seq=%d", timeout, sess.Seq())
+		}
+		assertSameFV(t, "after cancel", sess.Features(), before)
+
+		ctx, cancel = context.WithCancel(context.Background())
+		restore = SetFileTestHook(func(metrics.File) { cancel() })
+		_, extractErr := Extract(ctx, metrics.NewTree("one", edit), cfg, Pass{Features: true, Findings: true})
+		restore()
+		if !errors.Is(extractErr, context.Canceled) {
+			t.Fatalf("timeout=%v: Extract err = %v, want context.Canceled", timeout, extractErr)
+		}
+	}
+}
+
 // TestConcurrentCacheAttribution is the regression test for the
 // cache-traffic attribution bug: diagnostics used to be computed as deltas
 // over the cache's process-global counters, so two concurrent extractions
@@ -277,12 +317,11 @@ func TestConcurrentCacheAttribution(t *testing.T) {
 	treeB := metrics.NewTree("B", b...)
 
 	release := make(chan struct{})
-	enrichTestHook = func(f metrics.File) {
+	defer SetFileTestHook(func(f metrics.File) {
 		if f.Path == "zz_stall.mc" {
 			<-release
 		}
-	}
-	defer func() { enrichTestHook = nil }()
+	})()
 
 	var wg sync.WaitGroup
 	var diagA *AnalysisDiagnostics

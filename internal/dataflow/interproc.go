@@ -468,12 +468,3 @@ func AnalyzeProgramTaint(p *ir.Program, cfg InterConfig) *InterResult {
 	})
 	return res
 }
-
-// CountInterprocSinks analyzes the program with the default interprocedural
-// configuration and returns the finding count and the longest source-to-sink
-// call chain — the "interproc_tainted_sinks" and "taint_path_depth_max"
-// features.
-func CountInterprocSinks(p *ir.Program) (count, maxChain int) {
-	res := AnalyzeProgramTaint(p, DefaultInterConfig())
-	return len(res.Findings), res.MaxChain
-}

@@ -251,13 +251,17 @@ func TestInterprocDeterministic(t *testing.T) {
 	}
 }
 
+// TestCountInterprocSinks pins the two feature values the per-file pass
+// reads off the default-config result: the finding count
+// ("interproc_tainted_sinks") and the longest source-to-sink call chain
+// ("taint_path_depth_max").
 func TestCountInterprocSinks(t *testing.T) {
-	count, maxChain := CountInterprocSinks(ir.MustLowerSource(wrappedSourceSrc))
-	if count != 1 || maxChain != 1 {
-		t.Fatalf("CountInterprocSinks = (%d, %d), want (1, 1)", count, maxChain)
+	res := AnalyzeProgramTaint(ir.MustLowerSource(wrappedSourceSrc), DefaultInterConfig())
+	if count, maxChain := len(res.Findings), res.MaxChain; count != 1 || maxChain != 1 {
+		t.Fatalf("default taint = (%d, %d), want (1, 1)", count, maxChain)
 	}
-	count, maxChain = CountInterprocSinks(ir.MustLowerSource(deepChainSrc))
-	if count < 1 || maxChain != 4 {
-		t.Fatalf("CountInterprocSinks = (%d, %d), want (>=1, 4)", count, maxChain)
+	res = AnalyzeProgramTaint(ir.MustLowerSource(deepChainSrc), DefaultInterConfig())
+	if count, maxChain := len(res.Findings), res.MaxChain; count < 1 || maxChain != 4 {
+		t.Fatalf("default taint = (%d, %d), want (>=1, 4)", count, maxChain)
 	}
 }

@@ -5,9 +5,9 @@ import (
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/core/unit"
 	"repro/internal/ir"
 	"repro/internal/langgen"
-	"repro/internal/minic"
 	"repro/internal/ml"
 	"repro/internal/stats"
 	"repro/internal/symexec"
@@ -152,15 +152,11 @@ func AblationSymexecBound(seed uint64) (AblationSymexecBoundResult, error) {
 	tree := langgen.Generate(spec)
 	var progs []*ir.Program
 	for _, f := range tree.Files {
-		ast, err := minic.Parse(f.Content)
-		if err != nil {
-			return AblationSymexecBoundResult{}, err
+		u := unit.Load(f)
+		if u.IR == nil {
+			return AblationSymexecBoundResult{}, u.Err
 		}
-		p, err := ir.Lower(ast)
-		if err != nil {
-			return AblationSymexecBoundResult{}, err
-		}
-		progs = append(progs, p)
+		progs = append(progs, u.IR)
 	}
 	var res AblationSymexecBoundResult
 	for _, bound := range []int{1, 2, 3, 5, 8} {

@@ -14,13 +14,11 @@ import (
 	"strings"
 
 	"repro/internal/absint"
+	"repro/internal/core/unit"
 	"repro/internal/cwe"
-	"repro/internal/dataflow"
-	"repro/internal/ir"
 	"repro/internal/lang"
 	"repro/internal/lint"
 	"repro/internal/metrics"
-	"repro/internal/minic"
 )
 
 // Severity ranks findings for triage.
@@ -188,50 +186,43 @@ type FileAnalysis struct {
 // interpreter additionally require the file to parse as MiniC. The result
 // is deterministic in the file bytes and sorted by (line, rule, message).
 func AnalyzeFile(f metrics.File) FileAnalysis {
-	var fa FileAnalysis
 	if f.Language == lang.Unknown {
 		f.Language = lang.FromPath(f.Path)
 	}
+	u := unit.Load(f)
+	return Analyze(u, lint.CheckUnit(u))
+}
 
-	// Lint battery (token rules always, AST rules when MiniC-parseable).
-	rep := lint.Check(metrics.NewTree(f.Path, f))
-	for _, w := range rep.Warnings {
+// Analyze derives the findings view of an already-loaded file from its
+// lint report: the lint warnings mapped to weakness classes, plus the
+// IR-based producers (interprocedural taint and the abstract interpreter)
+// when the file is C-family and lowered.
+func Analyze(u *unit.Unit, lints *lint.Report) FileAnalysis {
+	var fa FileAnalysis
+	path := u.File.Path
+	for _, w := range lints.Warnings {
 		m := LintRules[w.Rule]
 		fa.Findings = append(fa.Findings, Finding{
 			Rule:     "lint/" + string(w.Rule),
 			CWE:      m.ID,
-			File:     f.Path,
+			File:     path,
 			Line:     w.Line,
 			Severity: m.Sev,
 			Message:  w.Msg,
 		})
 	}
-
-	if f.Language == lang.MiniC || f.Language == lang.C {
-		if prog, err := minic.Parse(f.Content); err == nil {
-			if lowered, err := ir.Lower(prog); err == nil {
-				fa.addDeep(f.Path, lowered)
-			}
-		}
+	if u.Deep() {
+		fa.addDeep(u)
 	}
-
-	sort.SliceStable(fa.Findings, func(i, j int) bool {
-		a, b := fa.Findings[i], fa.Findings[j]
-		if a.Line != b.Line {
-			return a.Line < b.Line
-		}
-		if a.Rule != b.Rule {
-			return a.Rule < b.Rule
-		}
-		return a.Message < b.Message
-	})
+	sortFindings(fa.Findings)
 	return fa
 }
 
 // addDeep appends the IR-based producers: interprocedural taint and the
 // abstract interpreter.
-func (fa *FileAnalysis) addDeep(path string, lowered *ir.Program) {
-	taint := dataflow.AnalyzeProgramTaint(lowered, dataflow.DefaultInterConfig())
+func (fa *FileAnalysis) addDeep(u *unit.Unit) {
+	path := u.File.Path
+	taint := u.Taint()
 	fa.InterTaintSinks = len(taint.Findings)
 	fa.TaintMaxChain = taint.MaxChain
 	for _, tf := range taint.Findings {
@@ -254,7 +245,7 @@ func (fa *FileAnalysis) addDeep(path string, lowered *ir.Program) {
 	}
 
 	acfg := absint.DefaultConfig()
-	for _, fn := range lowered.Funcs {
+	for _, fn := range u.IR.Funcs {
 		for _, w := range absint.Analyze(fn, acfg).Warnings {
 			m, ok := AbsintRules[w.Kind]
 			if !ok {
@@ -280,12 +271,26 @@ type Report struct {
 // Collect runs AnalyzeFile over every file of the tree and merges the
 // streams, sorted by (file, line, rule, message).
 func Collect(t *metrics.Tree) *Report {
-	rep := &Report{}
+	var all []Finding
 	for _, f := range t.Files {
-		rep.Findings = append(rep.Findings, AnalyzeFile(f).Findings...)
+		all = append(all, AnalyzeFile(f).Findings...)
 	}
-	sort.SliceStable(rep.Findings, func(i, j int) bool {
-		a, b := rep.Findings[i], rep.Findings[j]
+	return Merge(all)
+}
+
+// Merge turns the concatenated per-file finding streams into one report,
+// sorted in place by (file, line, rule, message) — the tree-level order
+// every report uses.
+func Merge(all []Finding) *Report {
+	sortFindings(all)
+	return &Report{Findings: all}
+}
+
+// sortFindings orders findings by (file, line, rule, message), stably.
+// Within one file's stream that is (line, rule, message).
+func sortFindings(fs []Finding) {
+	sort.SliceStable(fs, func(i, j int) bool {
+		a, b := fs[i], fs[j]
 		if a.File != b.File {
 			return a.File < b.File
 		}
@@ -297,7 +302,6 @@ func Collect(t *metrics.Tree) *Report {
 		}
 		return a.Message < b.Message
 	})
-	return rep
 }
 
 // Total returns the finding count.

@@ -19,24 +19,25 @@
 //
 //   - Per-function degradation: a panic inside one function's deep
 //     analysis (CFG + summary attachment) degrades that function to base
-//     metrics; a panic in a file's whole-program stage (parse, lowering,
-//     taint) degrades that file's functions. Degraded functions stay in
-//     the ranking, flagged, with their token-level features intact.
+//     metrics; a panic or timeout in a file's whole-program stage (parse,
+//     lowering, taint — the per-file pass core.Extract runs) degrades that
+//     file's functions. Degraded functions stay in the ranking, flagged,
+//     with their token-level features intact.
 package funcrank
 
 import (
 	"context"
 	"math"
 	"sort"
+	"time"
 
 	"repro/internal/callgraph"
 	"repro/internal/cfgana"
+	"repro/internal/core"
+	"repro/internal/core/unit"
 	"repro/internal/dataflow"
 	"repro/internal/ir"
-	"repro/internal/lang"
 	"repro/internal/metrics"
-	"repro/internal/minic"
-	"repro/internal/ml"
 	"repro/internal/trace"
 	"repro/internal/vcsgen"
 )
@@ -155,21 +156,30 @@ type deepFacts struct {
 // path-sorted (metrics.LoadTree and the server's tree decoder both
 // guarantee it); the ranking bytes are then independent of cfg.Jobs.
 func Rank(ctx context.Context, tree *metrics.Tree, cfg Config) (*Ranking, error) {
+	r, _, err := RankWith(ctx, tree, cfg, 0, false)
+	return r, err
+}
+
+// RankWith is Rank with a per-file deadline (<= 0: none). With findings
+// set, the same pass also keeps every file's CWE findings in the returned
+// extraction, next to each file's diagnostic.
+func RankWith(ctx context.Context, tree *metrics.Tree, cfg Config, fileTimeout time.Duration, findings bool) (*Ranking, *core.Extraction, error) {
 	rk := trace.SpanFromContext(ctx).Child("rank")
 	defer rk.End()
 
+	// The token scan and the join run on the worker that finished the
+	// file, so they stay inside the pool like the pass itself.
 	perFile := make([][]candidate, len(tree.Files))
-	err := ml.ParallelForCtx(ctx, len(tree.Files), cfg.Jobs, func(i int) error {
-		fs := rk.ChildAt(i, trace.SpanNameFile)
-		fs.SetLabel(tree.Files[i].Path)
-		perFile[i] = analyzeFile(tree.Files[i])
-		fs.End()
-		return nil
-	})
-	if err != nil {
-		return nil, err
+	done := func(i int, ff core.FileFacts) {
+		deep, _ := ff.Funcs.(map[string]deepFacts)
+		perFile[i] = joinDeep(metrics.ScanFunctions(tree.Files[i]), deep, ff.Status.Degraded())
 	}
-
+	ext, err := core.Extract(trace.ContextWithSpan(ctx, rk), tree,
+		core.ExtractConfig{Jobs: cfg.Jobs, FileTimeout: fileTimeout, FileDone: done},
+		core.Pass{Findings: findings, Funcs: deepFile})
+	if err != nil {
+		return nil, nil, err
+	}
 	var cands []candidate
 	for _, fns := range perFile {
 		cands = append(cands, fns...)
@@ -191,18 +201,7 @@ func Rank(ctx context.Context, tree *metrics.Tree, cfg Config) (*Ranking, error)
 		ranked = ranked[:cfg.Top]
 	}
 	out.Ranked = ranked
-	return out, nil
-}
-
-// analyzeFile extracts every function of one file: token-level scans for
-// all of them, deep facts where the file parses as MiniC.
-func analyzeFile(f metrics.File) []candidate {
-	scans := metrics.ScanFunctions(f)
-	if len(scans) == 0 {
-		return nil
-	}
-	deep, fileDegraded := deepFile(f)
-	return joinDeep(scans, deep, fileDegraded)
+	return out, ext, nil
 }
 
 // joinDeep attaches per-function deep facts to the token-level scans. The
@@ -231,33 +230,15 @@ func joinDeep(scans []metrics.FunctionScan, deep map[string]deepFacts, fileDegra
 	return out
 }
 
-// deepFile runs the whole-program stages over one file (each file is one
-// MiniC translation unit) and distributes the results per function. The
-// outer recover contains a panic in parse/lowering/call-graph/taint — the
-// whole file degrades; the inner recover contains a panic in one
-// function's CFG analysis or summary attachment — only that function
-// degrades. A file that simply does not parse as MiniC returns an empty
-// map and no degradation: base metrics are the expected coverage there,
-// matching the pipeline's parse-skip semantics.
-func deepFile(f metrics.File) (facts map[string]deepFacts, fileDegraded bool) {
-	if f.Language != lang.MiniC && f.Language != lang.C {
-		return nil, false
+// deepFile distributes one file's call graph and interprocedural taint per
+// function, inside the per-file pass's boundary; deepFunc's own recover
+// degrades just one function. A file that does not parse as MiniC yields
+// no facts and no degradation (parse-skip semantics).
+func deepFile(u *unit.Unit) any {
+	if !u.Deep() {
+		return nil
 	}
-	defer func() {
-		if r := recover(); r != nil {
-			facts = nil
-			fileDegraded = true
-		}
-	}()
-	prog, err := minic.Parse(f.Content)
-	if err != nil {
-		return nil, false
-	}
-	lowered, err := ir.Lower(prog)
-	if err != nil {
-		return nil, false
-	}
-	cg := callgraph.Build(lowered)
+	cg := u.Graph()
 	sccSize := map[string]int{}
 	inCycle := map[string]bool{}
 	for _, comp := range cg.SCCs() {
@@ -268,22 +249,22 @@ func deepFile(f metrics.File) (facts map[string]deepFacts, fileDegraded bool) {
 			}
 		}
 	}
-	taint := dataflow.AnalyzeProgramTaint(lowered, dataflow.DefaultInterConfig())
-	dup := make(map[string]int, len(lowered.Funcs))
-	for _, fn := range lowered.Funcs {
+	taint := u.Taint()
+	dup := make(map[string]int, len(u.IR.Funcs))
+	for _, fn := range u.IR.Funcs {
 		dup[fn.Name]++
 	}
-	facts = make(map[string]deepFacts, len(lowered.Funcs))
-	for _, fn := range lowered.Funcs {
+	facts := make(map[string]deepFacts, len(u.IR.Funcs))
+	for _, fn := range u.IR.Funcs {
 		// A redefined name is ambiguous at join time (the map would keep
 		// whichever definition lowered last); leave it out so the caller
 		// falls back to base metrics instead of misattributed facts.
 		if dup[fn.Name] > 1 {
 			continue
 		}
-		facts[fn.Name] = deepFunc(f.Path, fn, cg, sccSize, inCycle, taint)
+		facts[fn.Name] = deepFunc(u.File.Path, fn, cg, sccSize, inCycle, taint)
 	}
-	return facts, false
+	return facts
 }
 
 // deepFunc assembles one function's deep facts inside the per-function

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/lang"
 	"repro/internal/metrics"
 	"repro/internal/vcsgen"
@@ -134,6 +135,43 @@ func TestPanicContainmentFunction(t *testing.T) {
 	}
 	if intact.Degraded || intact.Features.SinkReach == 0 {
 		t.Errorf("panic leaked beyond its function: main = %+v", intact.Features)
+	}
+}
+
+// TestFileContainmentAtPassBoundary: a panic or a stall in a file's
+// whole-program stage is caught by the per-file pass's boundary and
+// deadline. Every function of the file stays in the ranking, degraded,
+// with its token-level features, and the extraction names the file.
+func TestFileContainmentAtPassBoundary(t *testing.T) {
+	release := make(chan struct{})
+	defer close(release)
+	for _, tc := range []struct {
+		status core.FileStatus
+		hook   func(metrics.File)
+	}{
+		{core.StatusPanic, func(metrics.File) { panic("injected: whole-file analysis") }},
+		{core.StatusTimeout, func(metrics.File) { <-release }},
+	} {
+		restore := core.SetFileTestHook(tc.hook)
+		r, ext, err := RankWith(context.Background(), vulnappTree(t), Config{}, 50*time.Millisecond, true)
+		restore()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := ext.Diagnostics.Files[0].Status; got != tc.status {
+			t.Fatalf("file status = %s, want %s", got, tc.status)
+		}
+		if len(r.Ranked) == 0 {
+			t.Fatalf("%s: degraded file's functions left the ranking", tc.status)
+		}
+		for _, f := range r.Ranked {
+			if !f.Degraded || f.Features.Lines == 0 || f.Features.Blocks != 0 {
+				t.Fatalf("%s: %s = degraded %v, features %+v; want degraded with token features only", tc.status, f.Name, f.Degraded, f.Features)
+			}
+		}
+		if _, complete := ext.Findings(); complete {
+			t.Fatalf("%s: degraded file's findings reported complete", tc.status)
+		}
 	}
 }
 

@@ -11,11 +11,7 @@ import (
 // division-by-unvalidated-value. Like the bug finders the paper surveys,
 // several of these are deliberately noisy; the model is what separates the
 // wheat from the chaff.
-func checkAST(path string, prog *minic.Program, rep *Report) {
-	lowered, err := ir.Lower(prog)
-	if err != nil {
-		return
-	}
+func checkAST(path string, prog *minic.Program, lowered *ir.Program, rep *Report) {
 	for _, f := range lowered.Funcs {
 		for _, d := range dataflow.DeadStores(f) {
 			if d.Var == "" || d.Var[0] == 't' && isTempName(d.Var) {

@@ -10,9 +10,9 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/core/unit"
 	"repro/internal/lexer"
 	"repro/internal/metrics"
-	"repro/internal/minic"
 )
 
 // Rule identifies one checker.
@@ -84,7 +84,7 @@ func Check(t *metrics.Tree) *Report {
 	for _, f := range t.Files {
 		all = lexer.TokenizeInto(all[:0], f.Content, f.Language)
 		code = lexer.CodeInto(code[:0], all)
-		checkFile(f, code, rep)
+		checkUnit(unit.Load(f), code, rep)
 	}
 	sort.SliceStable(rep.Warnings, func(i, j int) bool {
 		if rep.Warnings[i].File != rep.Warnings[j].File {
@@ -99,19 +99,21 @@ func Check(t *metrics.Tree) *Report {
 // on the file itself, so a tree report is exactly the per-file reports
 // concatenated (then sorted); incremental analyses rely on that to
 // maintain warning totals by delta.
-func CheckFile(f metrics.File) *Report {
+func CheckFile(f metrics.File) *Report { return CheckUnit(unit.Load(f)) }
+
+// CheckUnit runs every applicable rule over an already-loaded file: the
+// token rules always, the AST rules when the file parsed and lowered.
+func CheckUnit(u *unit.Unit) *Report {
 	rep := &Report{}
-	code := lexer.CodeInto(nil, lexer.Tokenize(f.Content, f.Language))
-	checkFile(f, code, rep)
+	checkUnit(u, lexer.CodeInto(nil, lexer.Tokenize(u.File.Content, u.File.Language)), rep)
 	return rep
 }
 
-// checkFile folds one file's token and AST rules into rep.
-func checkFile(f metrics.File, code []lexer.Token, rep *Report) {
-	checkTokens(f, code, rep)
-	// The AST rules only apply to files that parse as MiniC.
-	if prog, err := minic.Parse(f.Content); err == nil {
-		checkAST(f.Path, prog, rep)
+// checkUnit folds one file's token and AST rules into rep.
+func checkUnit(u *unit.Unit, code []lexer.Token, rep *Report) {
+	checkTokens(u.File, code, rep)
+	if u.IR != nil {
+		checkAST(u.File.Path, u.AST, u.IR, rep)
 	}
 }
 

@@ -42,7 +42,9 @@ func ParallelFor(n, jobs int, fn func(i int) error) error {
 // Error priority keeps the first-error-wins rule: a real error from the
 // lowest failing index beats the context error (exactly what a sequential
 // loop that checks ctx between iterations would have returned first);
-// a run that was cut short only by cancellation returns ctx.Err().
+// a run that was cut short only by cancellation returns ctx.Err(). Both
+// paths check ctx once more after the last call, so a cancellation that
+// lands while the final index runs is still reported, never a silent nil.
 func ParallelForCtx(ctx context.Context, n, jobs int, fn func(i int) error) error {
 	if n <= 0 {
 		return nil
@@ -57,7 +59,7 @@ func ParallelForCtx(ctx context.Context, n, jobs int, fn func(i int) error) erro
 				return err
 			}
 		}
-		return nil
+		return ctx.Err()
 	}
 	errs := make([]error, n)
 	var wg sync.WaitGroup

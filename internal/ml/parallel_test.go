@@ -150,6 +150,25 @@ func TestParallelForCtxCancelMidRunDrains(t *testing.T) {
 	}
 }
 
+func TestParallelForCtxCancelDuringLastIndex(t *testing.T) {
+	// A cancellation that lands while the final index runs must surface:
+	// the sequential path (jobs 1, or a single index) has no later loop
+	// iteration to notice it.
+	for _, tc := range []struct{ n, jobs int }{{1, 1}, {1, 4}, {5, 1}, {5, 4}} {
+		ctx, cancel := context.WithCancel(context.Background())
+		err := ParallelForCtx(ctx, tc.n, tc.jobs, func(i int) error {
+			if i == tc.n-1 {
+				cancel()
+			}
+			return nil
+		})
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("n=%d jobs=%d: err = %v, want context.Canceled", tc.n, tc.jobs, err)
+		}
+	}
+}
+
 func TestParallelForCtxFirstErrorBeatsCancel(t *testing.T) {
 	// A real error at the lowest failing index wins over the context error,
 	// exactly as a sequential loop would have reported it first.

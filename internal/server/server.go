@@ -6,8 +6,8 @@
 // over JSON-encoded source trees.
 //
 // The serving path reuses the library machinery end-to-end: each request
-// runs through core.ExtractFeaturesDiagnostics (the same engine behind
-// secmetric.AnalyzeTreeWithDiagnostics) under a per-request
+// runs through the per-file pass, core.Extract (the same engine behind
+// secmetric.AnalyzeTreeWithDiagnostics), under a per-request
 // context.Context deadline, on a bounded worker pool with an explicit
 // queue-depth limit. A request that arrives when the queue is full is
 // rejected immediately with 429 — bounded memory under overload — and one
@@ -39,6 +39,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/featcache"
 	"repro/internal/findings"
+	"repro/internal/funcrank"
 	"repro/internal/lang"
 	"repro/internal/metrics"
 	"repro/internal/store/findex"
@@ -110,16 +111,18 @@ const DefaultStreamHeartbeat = 10 * time.Second
 type Server struct {
 	cfg      Config
 	reg      *Registry
-	cache    *featcache.Cache
 	tel      *telemetry
 	sem      chan struct{}
 	slots    int
 	start    time.Time
 	sessions *sessionPool
 
-	// flight dedups identical in-flight per-file deep analyses across every
-	// concurrent request and delta session of this server.
-	flight *core.ExtractFlight
+	// ecfg configures every per-file pass of this server, batch and delta
+	// alike: pool width, per-file deadline, the shared feature cache, and
+	// the flight that dedups identical in-flight passes across concurrent
+	// requests and sessions. Sharing it keeps the incremental and cold
+	// paths byte-identical and runs a racing pair's analysis once.
+	ecfg core.ExtractConfig
 	// coalesced dedups identical whole requests on /v1/score and /v1/rank.
 	coalesced *coalescer
 
@@ -163,32 +166,25 @@ func New(reg *Registry, cfg Config) *Server {
 	if cfg.StreamHeartbeat <= 0 {
 		cfg.StreamHeartbeat = DefaultStreamHeartbeat
 	}
-	cache := cfg.Cache
-	if cache == nil {
-		cache = featcache.NewMemory()
+	ecfg := core.ExtractConfig{
+		Jobs:        cfg.AnalyzeJobs,
+		Cache:       cfg.Cache,
+		FileTimeout: cfg.FileTimeout,
+		Flight:      core.NewExtractFlight(),
 	}
-	flight := core.NewExtractFlight()
+	if ecfg.Cache == nil {
+		ecfg.Cache = featcache.NewMemory()
+	}
 	return &Server{
 		cfg:       cfg,
 		reg:       reg,
-		cache:     cache,
 		tel:       newTelemetry(),
 		sem:       make(chan struct{}, cfg.Workers),
 		slots:     cfg.Workers,
 		start:     time.Now(),
-		flight:    flight,
+		ecfg:      ecfg,
 		coalesced: newCoalescer(),
-		// Delta sessions extract with the same pool width, per-file
-		// deadline, shared cache, and shared flight as the batch endpoints,
-		// so the incremental and cold paths produce byte-identical vectors
-		// and a session apply racing a batch request over the same bytes
-		// runs the deep analysis once.
-		sessions: newSessionPool(cfg.MaxSessions, cfg.SessionTTL, core.ExtractConfig{
-			Jobs:        cfg.AnalyzeJobs,
-			Cache:       cache,
-			FileTimeout: cfg.FileTimeout,
-			Flight:      flight,
-		}),
+		sessions:  newSessionPool(cfg.MaxSessions, cfg.SessionTTL, ecfg),
 	}
 }
 
@@ -377,22 +373,23 @@ func (s *Server) retryAfterSeconds() int {
 	return secs
 }
 
-// analyze runs the full extraction pipeline for one request against the
-// shared feature cache and in-flight dedup table.
-func (s *Server) analyze(ctx context.Context, tree *metrics.Tree) (secmetric.FeatureVector, *secmetric.AnalysisDiagnostics, error) {
-	return s.analyzeWith(ctx, tree, nil)
+// extract runs the per-file pass for one request against the shared
+// feature cache and in-flight dedup table. fileDone is the streaming
+// endpoints' per-file record source (nil for the batch endpoints).
+func (s *Server) extract(ctx context.Context, tree *metrics.Tree, p core.Pass, fileDone func(i int, f core.FileFacts)) (*core.Extraction, error) {
+	cfg := s.ecfg
+	cfg.FileDone = fileDone
+	return core.Extract(ctx, tree, cfg, p)
 }
 
-// analyzeWith is analyze plus a per-file completion callback (the
-// streaming endpoints' record source; nil for the batch endpoints).
-func (s *Server) analyzeWith(ctx context.Context, tree *metrics.Tree, fileDone func(i int, d core.FileDiagnostic)) (secmetric.FeatureVector, *secmetric.AnalysisDiagnostics, error) {
-	return core.ExtractFeaturesDiagnostics(ctx, tree, core.ExtractConfig{
-		Jobs:        s.cfg.AnalyzeJobs,
-		Cache:       s.cache,
-		FileTimeout: s.cfg.FileTimeout,
-		Flight:      s.flight,
-		FileDone:    fileDone,
-	})
+// degradedOnly returns d when some file degraded and nil otherwise, so the
+// endpoints that carry diagnostics only on degradation stay byte-identical
+// when every file completed.
+func degradedOnly(d *core.AnalysisDiagnostics) *core.AnalysisDiagnostics {
+	if d.Clean() {
+		return nil
+	}
+	return d
 }
 
 // toTree converts a wire tree to the analyzer's representation, applying
@@ -452,19 +449,37 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
 	return true
 }
 
-// record persists one scoring request into the findings history, keyed by
-// the tree's name. It runs synchronously inside the request's worker slot
-// (the store has a single writer; holding the slot keeps history pressure
-// under the same admission discipline as the analysis itself), but its
-// outcome only moves counters — a full disk must not turn a perfectly good
-// score into a 500.
-func (s *Server) record(ctx context.Context, source string, tree *metrics.Tree, score float64, hasScore bool) {
+// decodeTree is decode plus toTree of the request's tree (wire points
+// into req), answering 400 itself when the tree is unusable.
+func (s *Server) decodeTree(w http.ResponseWriter, r *http.Request, req any, wire *api.Tree) (*metrics.Tree, bool) {
+	if !s.decode(w, r, req) {
+		return nil, false
+	}
+	tree, err := toTree(*wire)
+	if err != nil {
+		s.writeErr(w, http.StatusBadRequest, api.CodeBadRequest, err.Error())
+		return nil, false
+	}
+	return tree, true
+}
+
+// record persists the findings the request's own pass kept into the
+// history, keyed by the tree's name. It runs synchronously inside the
+// request's worker slot (the store has a single writer), but its outcome
+// only moves counters: a full disk, or findings left incomplete by a
+// degraded file, counts a history error and never fails the request.
+func (s *Server) record(ctx context.Context, source string, tree *metrics.Tree, ext *core.Extraction, score float64, hasScore bool) {
 	if s.cfg.History == nil {
 		return
 	}
 	rs := trace.SpanFromContext(ctx).Child("record")
 	defer rs.End()
-	run := findex.NewRun(tree.Name, source, findings.Collect(tree))
+	rep, complete := ext.Findings()
+	if !complete {
+		s.historyErrors.Add(1)
+		return
+	}
+	run := findex.NewRun(tree.Name, source, rep)
 	if hasScore {
 		run = run.WithScore(score)
 	}
@@ -514,12 +529,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 	var req api.ScoreRequest
-	if !s.decode(w, r, &req) {
-		return
-	}
-	tree, err := toTree(req.Tree)
-	if err != nil {
-		s.writeErr(w, http.StatusBadRequest, api.CodeBadRequest, err.Error())
+	tree, ok := s.decodeTree(w, r, &req, &req.Tree)
+	if !ok {
 		return
 	}
 	model, name, ok := s.reg.Snapshot().Get(req.Model)
@@ -529,15 +540,17 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 	}
 	run := func(w http.ResponseWriter) {
 		s.withSlot(w, r, "score", req.TimeoutMS, func(ctx context.Context) error {
-			fv, diag, err := s.analyze(ctx, tree)
+			// With history on, the same pass keeps the findings record() persists.
+			ext, err := s.extract(ctx, tree, core.Pass{Features: true, Findings: s.cfg.History != nil}, nil)
 			if err != nil {
 				return err
 			}
+			diag := ext.Diagnostics
 			sc := trace.SpanFromContext(ctx).Child("score")
-			rep := model.Score(req.Tree.Name, fv)
+			rep := model.Score(req.Tree.Name, ext.Features)
 			sc.End()
-			s.record(ctx, "score", tree, rep.RiskScore, true)
-			if req.Trace && diag != nil {
+			s.record(ctx, "score", tree, ext, rep.RiskScore, true)
+			if req.Trace {
 				diag.Trace = trace.Summarize(trace.SpanFromContext(ctx))
 			}
 			s.writeJSON(w, http.StatusOK, api.ScoreResponse{
@@ -561,35 +574,28 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	var req api.AnalyzeRequest
-	if !s.decode(w, r, &req) {
-		return
-	}
-	tree, err := toTree(req.Tree)
-	if err != nil {
-		s.writeErr(w, http.StatusBadRequest, api.CodeBadRequest, err.Error())
+	tree, ok := s.decodeTree(w, r, &req, &req.Tree)
+	if !ok {
 		return
 	}
 	s.withSlot(w, r, "analyze", req.TimeoutMS, func(ctx context.Context) error {
-		fv, diag, err := s.analyze(ctx, tree)
+		ext, err := s.extract(ctx, tree, core.Pass{Features: true}, nil)
 		if err != nil {
 			return err
 		}
-		if req.Trace && diag != nil {
+		diag := ext.Diagnostics
+		if req.Trace {
 			diag.Trace = trace.Summarize(trace.SpanFromContext(ctx))
 		}
-		s.writeJSON(w, http.StatusOK, api.AnalyzeResponse{Features: fv, Diagnostics: diag})
+		s.writeJSON(w, http.StatusOK, api.AnalyzeResponse{Features: ext.Features, Diagnostics: diag})
 		return nil
 	})
 }
 
 func (s *Server) handleFindings(w http.ResponseWriter, r *http.Request) {
 	var req api.FindingsRequest
-	if !s.decode(w, r, &req) {
-		return
-	}
-	tree, err := toTree(req.Tree)
-	if err != nil {
-		s.writeErr(w, http.StatusBadRequest, api.CodeBadRequest, err.Error())
+	tree, ok := s.decodeTree(w, r, &req, &req.Tree)
+	if !ok {
 		return
 	}
 	sev, err := findings.ParseSeverity(req.MinSeverity)
@@ -598,42 +604,42 @@ func (s *Server) handleFindings(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.withSlot(w, r, "findings", req.TimeoutMS, func(ctx context.Context) error {
-		cs := trace.SpanFromContext(ctx).Child("collect")
-		rep := secmetric.CollectFindings(tree).MinSeverity(sev)
-		cs.End()
-		if ctx.Err() != nil {
-			return ctx.Err()
+		ext, err := s.extract(ctx, tree, core.Pass{Findings: true}, nil)
+		if err != nil {
+			return err
 		}
-		s.writeJSON(w, http.StatusOK, api.FindingsResponse{Report: rep})
+		rep, _ := ext.Findings()
+		s.writeJSON(w, http.StatusOK, api.FindingsResponse{
+			Report:      rep.MinSeverity(sev),
+			Diagnostics: degradedOnly(ext.Diagnostics),
+		})
 		return nil
 	})
 }
 
 func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 	var req api.RankRequest
-	if !s.decode(w, r, &req) {
+	tree, ok := s.decodeTree(w, r, &req, &req.Tree)
+	if !ok {
 		return
 	}
 	if req.Top < 0 {
 		s.writeErr(w, http.StatusBadRequest, api.CodeBadRequest, "top must be >= 0")
 		return
 	}
-	tree, err := toTree(req.Tree)
-	if err != nil {
-		s.writeErr(w, http.StatusBadRequest, api.CodeBadRequest, err.Error())
-		return
-	}
 	run := func(w http.ResponseWriter) {
 		s.withSlot(w, r, "rank", req.TimeoutMS, func(ctx context.Context) error {
-			ranking, err := secmetric.RankTree(ctx, tree, secmetric.RankConfig{
-				Jobs: s.cfg.AnalyzeJobs,
-				Top:  req.Top,
-			})
+			ranking, ext, err := funcrank.RankWith(ctx, tree,
+				funcrank.Config{Jobs: s.cfg.AnalyzeJobs, Top: req.Top},
+				s.cfg.FileTimeout, s.cfg.History != nil)
 			if err != nil {
 				return err
 			}
-			s.record(ctx, "rank", tree, 0, false)
-			s.writeJSON(w, http.StatusOK, api.RankResponse{Ranking: ranking})
+			s.record(ctx, "rank", tree, ext, 0, false)
+			s.writeJSON(w, http.StatusOK, api.RankResponse{
+				Ranking:     ranking,
+				Diagnostics: degradedOnly(ext.Diagnostics),
+			})
 			return nil
 		})
 	}
@@ -663,20 +669,21 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 	s.withSlot(w, r, "compare", req.TimeoutMS, func(ctx context.Context) error {
 		// Both versions run inside one slot against the shared cache, so
 		// only the files the change touched are deep-analyzed twice.
-		oldFV, oldDiag, err := s.analyze(ctx, oldTree)
+		oldExt, err := s.extract(ctx, oldTree, core.Pass{Features: true}, nil)
 		if err != nil {
 			return err
 		}
-		newFV, newDiag, err := s.analyze(ctx, newTree)
-		if err != nil {
-			return err
-		}
-		cs := trace.SpanFromContext(ctx).Child("score")
-		cmp := model.Compare(req.Old.Name, oldFV, req.New.Name, newFV)
-		cs.End()
 		// History records the new version — the one the gate is deciding on.
-		s.record(ctx, "compare", newTree, cmp.NewScore, true)
-		if req.Trace && newDiag != nil {
+		newExt, err := s.extract(ctx, newTree, core.Pass{Features: true, Findings: s.cfg.History != nil}, nil)
+		if err != nil {
+			return err
+		}
+		oldDiag, newDiag := oldExt.Diagnostics, newExt.Diagnostics
+		cs := trace.SpanFromContext(ctx).Child("score")
+		cmp := model.Compare(req.Old.Name, oldExt.Features, req.New.Name, newExt.Features)
+		cs.End()
+		s.record(ctx, "compare", newTree, newExt, cmp.NewScore, true)
+		if req.Trace {
 			// One summary covers the whole request (both analyses); it
 			// rides on the new version's diagnostics.
 			newDiag.Trace = trace.Summarize(trace.SpanFromContext(ctx))
@@ -831,7 +838,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	s.tel.write(w)
-	hits, misses := s.cache.Stats()
+	hits, misses := s.ecfg.Cache.Stats()
 	fmt.Fprintln(w, "# HELP secmetricd_featcache_hits_total Shared feature-cache hits.")
 	fmt.Fprintln(w, "# TYPE secmetricd_featcache_hits_total counter")
 	fmt.Fprintf(w, "secmetricd_featcache_hits_total %d\n", hits)
@@ -840,10 +847,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "secmetricd_featcache_misses_total %d\n", misses)
 	fmt.Fprintln(w, "# HELP secmetricd_featcache_corrupt_total Disk cache entries that failed validation on read (counted, then treated as misses).")
 	fmt.Fprintln(w, "# TYPE secmetricd_featcache_corrupt_total counter")
-	fmt.Fprintf(w, "secmetricd_featcache_corrupt_total %d\n", s.cache.CorruptReads())
+	fmt.Fprintf(w, "secmetricd_featcache_corrupt_total %d\n", s.ecfg.Cache.CorruptReads())
 	fmt.Fprintln(w, "# HELP secmetricd_coalesced_total Work answered by adopting a concurrent identical execution: kind=\"file\" is per-file deep analyses, kind=\"request\" is whole /v1/score and /v1/rank requests.")
 	fmt.Fprintln(w, "# TYPE secmetricd_coalesced_total counter")
-	fmt.Fprintf(w, "secmetricd_coalesced_total{kind=\"file\"} %d\n", s.flight.Coalesced())
+	fmt.Fprintf(w, "secmetricd_coalesced_total{kind=\"file\"} %d\n", s.ecfg.Flight.Coalesced())
 	creq := s.tel.coalescedSnapshot()
 	eps := make([]string, 0, len(creq))
 	for ep := range creq {

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
-	"runtime"
 	"sync"
 	"time"
 
@@ -114,39 +113,20 @@ func (sw *streamWriter) end() {
 // carries exactly the AnalyzeResponse the batch endpoint would return.
 func (s *Server) handleAnalyzeStream(w http.ResponseWriter, r *http.Request) {
 	var req api.AnalyzeRequest
-	if !s.decode(w, r, &req) {
+	tree, ok := s.decodeTree(w, r, &req, &req.Tree)
+	if !ok {
 		return
 	}
-	tree, err := toTree(req.Tree)
-	if err != nil {
-		s.writeErr(w, http.StatusBadRequest, api.CodeBadRequest, err.Error())
-		return
-	}
-	s.withSlot(w, r, "analyze_stream", req.TimeoutMS, func(ctx context.Context) error {
-		// Admission rejections (429/504 above) answered as plain JSON; from
-		// here on the stream owns the response.
-		sw := s.startStream(w)
-		defer sw.end()
-		fv, diag, err := s.analyzeWith(ctx, tree, func(i int, d core.FileDiagnostic) {
-			sw.send(api.StreamRecord{Type: api.StreamTypeFile, File: &api.StreamFile{
-				Path:   d.Path,
-				Status: string(d.Status),
-				Detail: d.Detail,
-			}})
+	s.streamPass(w, r, "analyze_stream", req.TimeoutMS, tree, core.Pass{Features: true}, findings.SevInfo,
+		func(ctx context.Context, ext *core.Extraction) api.StreamRecord {
+			if req.Trace {
+				ext.Diagnostics.Trace = trace.Summarize(trace.SpanFromContext(ctx))
+			}
+			return api.StreamRecord{Type: api.StreamTypeSummary, Analyze: &api.AnalyzeResponse{
+				Features:    ext.Features,
+				Diagnostics: ext.Diagnostics,
+			}}
 		})
-		if err != nil {
-			sw.sendError(err)
-			return nil // answered on-stream; withSlot must not write again
-		}
-		if req.Trace && diag != nil {
-			diag.Trace = trace.Summarize(trace.SpanFromContext(ctx))
-		}
-		sw.send(api.StreamRecord{Type: api.StreamTypeSummary, Analyze: &api.AnalyzeResponse{
-			Features:    fv,
-			Diagnostics: diag,
-		}})
-		return nil
-	})
 }
 
 // handleFindingsStream is POST /v1/findings/stream: per-file findings
@@ -157,12 +137,8 @@ func (s *Server) handleAnalyzeStream(w http.ResponseWriter, r *http.Request) {
 // (file, line, rule, message) groups by file first.
 func (s *Server) handleFindingsStream(w http.ResponseWriter, r *http.Request) {
 	var req api.FindingsRequest
-	if !s.decode(w, r, &req) {
-		return
-	}
-	tree, err := toTree(req.Tree)
-	if err != nil {
-		s.writeErr(w, http.StatusBadRequest, api.CodeBadRequest, err.Error())
+	tree, ok := s.decodeTree(w, r, &req, &req.Tree)
+	if !ok {
 		return
 	}
 	sev, err := findings.ParseSeverity(req.MinSeverity)
@@ -170,49 +146,38 @@ func (s *Server) handleFindingsStream(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, http.StatusBadRequest, api.CodeBadRequest, err.Error())
 		return
 	}
-	s.withSlot(w, r, "findings_stream", req.TimeoutMS, func(ctx context.Context) error {
+	s.streamPass(w, r, "findings_stream", req.TimeoutMS, tree, core.Pass{Findings: true}, sev,
+		func(_ context.Context, ext *core.Extraction) api.StreamRecord {
+			rep, _ := ext.Findings()
+			return api.StreamRecord{Type: api.StreamTypeSummary, Findings: &api.FindingsResponse{
+				Report:      rep.MinSeverity(sev),
+				Diagnostics: degradedOnly(ext.Diagnostics),
+			}}
+		})
+}
+
+// streamPass runs the per-file pass p over tree in a worker slot and
+// streams it: one file record (with its findings at or above sev, if any)
+// per file as the pool finishes it, then the record summary builds.
+func (s *Server) streamPass(w http.ResponseWriter, r *http.Request, endpoint string, timeoutMS int64, tree *metrics.Tree, p core.Pass, sev findings.Severity, summary func(context.Context, *core.Extraction) api.StreamRecord) {
+	s.withSlot(w, r, endpoint, timeoutMS, func(ctx context.Context) error {
+		// Admission rejections (429/504 above) answered as plain JSON; from
+		// here on the stream owns the response.
 		sw := s.startStream(w)
 		defer sw.end()
-
-		jobs := s.cfg.AnalyzeJobs
-		if jobs <= 0 {
-			jobs = runtime.GOMAXPROCS(0)
-		}
-		perFile := make([][]findings.Finding, len(tree.Files))
-		sem := make(chan struct{}, jobs)
-		var wg sync.WaitGroup
-		for i, f := range tree.Files {
-			wg.Add(1)
-			go func(i int, f metrics.File) {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				if ctx.Err() != nil {
-					return
-				}
-				cs := trace.SpanFromContext(ctx).Child("collect")
-				cs.SetLabel(f.Path)
-				fa := findings.AnalyzeFile(f)
-				cs.End()
-				kept := (&findings.Report{Findings: fa.Findings}).MinSeverity(sev).Findings
-				perFile[i] = kept
-				sw.send(api.StreamRecord{Type: api.StreamTypeFile, File: &api.StreamFile{
-					Path:     f.Path,
-					Status:   string(core.StatusOK),
-					Findings: kept,
-				}})
-			}(i, f)
-		}
-		wg.Wait()
-		if err := ctx.Err(); err != nil {
+		ext, err := s.extract(ctx, tree, p, func(i int, f core.FileFacts) {
+			sw.send(api.StreamRecord{Type: api.StreamTypeFile, File: &api.StreamFile{
+				Path:     f.Path,
+				Status:   string(f.Status),
+				Detail:   f.Detail,
+				Findings: (&findings.Report{Findings: f.Findings}).MinSeverity(sev).Findings,
+			}})
+		})
+		if err != nil {
 			sw.sendError(err)
-			return nil
+			return nil // answered on-stream; withSlot must not write again
 		}
-		rep := &findings.Report{}
-		for _, kept := range perFile {
-			rep.Findings = append(rep.Findings, kept...)
-		}
-		sw.send(api.StreamRecord{Type: api.StreamTypeSummary, Findings: &api.FindingsResponse{Report: rep}})
+		sw.send(summary(ctx, ext))
 		return nil
 	})
 }

@@ -81,6 +81,9 @@ type FindingsRequest struct {
 // FindingsResponse is the filtered findings stream.
 type FindingsResponse struct {
 	Report *secmetric.FindingsReport `json:"report"`
+	// Diagnostics is present only when a file degraded; its findings are
+	// missing from Report.
+	Diagnostics *secmetric.AnalysisDiagnostics `json:"diagnostics,omitempty"`
 }
 
 // CompareRequest asks POST /v1/compare for the risk delta between two
@@ -172,6 +175,9 @@ type RankRequest struct {
 // RankResponse is the function-level ranking.
 type RankResponse struct {
 	Ranking *secmetric.Ranking `json:"ranking"`
+	// Diagnostics is present only when a file degraded; its functions
+	// rank with token-level features only.
+	Diagnostics *secmetric.AnalysisDiagnostics `json:"diagnostics,omitempty"`
 }
 
 // QueryRequest asks POST /v1/query to run one findings-history query

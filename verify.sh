@@ -3,8 +3,9 @@
 # detector (every parallel path — training fan-out, CV folds, forest
 # trees, the extraction worker pool, the feature cache, and the
 # cancellation/panic-containment paths — is race-checked on every run),
-# and a short native-fuzz smoke over the MiniC parser, the panic source
-# the containment layer most needs to hold against. Ends with a live
+# the serving benchmark's own build and tests, and short native-fuzz
+# smokes over the MiniC parser and the whole per-file analysis pass, the
+# panic sources the containment layer most needs to hold against. Ends with a live
 # secmetricd smoke: concurrent daemon scores must be byte-identical to a
 # CLI run, incremental /v1/delta results must be byte-identical to the
 # cold endpoints, the NDJSON streaming endpoints must end with the batch
@@ -34,8 +35,19 @@ go vet ./...
 echo "== go test -race =="
 go test -race -timeout 5m ./...
 
+# The serving benchmark is its own module over this one's internal
+# packages: build, vet and test it so an internal API change that stops
+# it compiling fails here rather than in a benchmark run.
+echo "== servebench (vet + test) =="
+(cd servebench && GOWORK=off go vet ./... && GOWORK=off go test ./...)
+
 echo "== fuzz smoke (FuzzParse, 10s) =="
 go test -run Fuzz -fuzz FuzzParse -fuzztime 10s ./internal/minic
+
+echo "== fuzz smoke (FuzzAnalyzeFile, 10s) =="
+# Each exec runs several whole passes, so a short minimization budget
+# keeps the window fuzzing instead of shrinking its first new input.
+go test -run Fuzz -fuzz FuzzAnalyzeFile -fuzztime 10s -fuzzminimizetime 1s ./internal/core
 
 echo "== fuzz smoke (FuzzQueryParse, 10s) =="
 go test -run Fuzz -fuzz FuzzQueryParse -fuzztime 10s ./internal/store/query
