@@ -151,8 +151,8 @@ func run() error {
 		if err != nil {
 			return fmt.Errorf("open -db %s: %w", *dbPath, err)
 		}
-		// Closed after the drain below, so the final checkpoint covers every
-		// recorded run.
+		// Closed after the drain below, so every in-flight recording
+		// finishes first.
 		defer func() {
 			if err := history.Close(); err != nil {
 				log.Printf("close -db: %v", err)

@@ -1,15 +1,15 @@
-// Command storesmoke is verify.sh's storage-engine crash drill. It
-// appends findings runs into a findex database with a crash injected into
-// the WAL mid-stream, abandons the handles without checkpointing (the
-// moral equivalent of kill -9), reopens, and asserts that every
-// acknowledged run survived intact, that nothing unacknowledged leaked in,
-// and that the index-planned query path returns byte-identical results to
-// the forced full scan over the recovered data.
+// Command storesmoke is verify.sh's findings-log crash drill. It appends
+// findings runs until the log passes -crash bytes, cuts the file to
+// exactly -crash bytes — what a kill in the middle of that append leaves —
+// and drops the handle without closing it. It then reopens and asserts
+// that every acknowledged run survived intact, that nothing
+// unacknowledged leaked in, that the index-planned query path returns
+// byte-identical results to the forced full scan over the recovered data,
+// and that a run appended after recovery survives another reopen.
 package main
 
 import (
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -19,7 +19,6 @@ import (
 	"repro/internal/cwe"
 	"repro/internal/findings"
 	"repro/internal/stats"
-	"repro/internal/store"
 	"repro/internal/store/findex"
 )
 
@@ -27,8 +26,8 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("storesmoke: ")
 	dir := flag.String("dir", "", "working directory (empty = fresh temp dir, removed on exit)")
-	runs := flag.Int("runs", 400, "runs to attempt before the injected crash stops the writer")
-	crash := flag.Int64("crash", 128<<10, "cumulative WAL bytes after which the injected crash fires (0 = run to completion)")
+	runs := flag.Int("runs", 400, "runs to attempt before the simulated crash stops the writer")
+	crash := flag.Int64("crash", 128<<10, "log length at which the simulated crash cuts the file (0 = run to completion)")
 	seed := flag.Uint64("seed", 0xc0ffee, "deterministic run-content seed")
 	flag.Parse()
 	if err := run(*dir, *runs, *crash, *seed); err != nil {
@@ -71,11 +70,10 @@ func run(dir string, runs int, crash int64, seed uint64) error {
 	}
 	path := filepath.Join(dir, "findings.db")
 
-	db, err := store.Open(path, store.Options{CrashWALBytes: crash})
+	hist, err := findex.Open(path)
 	if err != nil {
 		return err
 	}
-	hist := findex.OpenDB(db)
 	rng := stats.NewRNG(seed)
 
 	type acked struct {
@@ -89,28 +87,29 @@ func run(dir string, runs int, crash int64, seed uint64) error {
 		r := synthRun(rng, i)
 		seq, err := hist.Append(r)
 		if err != nil {
-			if errors.Is(err, store.ErrCrashInjected) || errors.Is(err, store.ErrFailed) {
-				crashed = true
-				break
-			}
 			return fmt.Errorf("append %d: %w", i, err)
+		}
+		if crash > 0 && hist.Stats().Bytes > crash {
+			// The crash lands inside this append: the file keeps only its
+			// first crash bytes and the run was never acknowledged.
+			if err := os.Truncate(path, crash); err != nil {
+				return err
+			}
+			crashed = true
+			break
 		}
 		acks = append(acks, acked{r.Repo, seq, r.Total})
 	}
 	if crash > 0 && !crashed {
-		return fmt.Errorf("crash injection never fired across %d runs; raise -runs or lower -crash", runs)
+		return fmt.Errorf("the log never reached %d bytes across %d runs; raise -runs or lower -crash", crash, runs)
 	}
-	// Abandon skips the closing checkpoint: the page file and WAL are left
-	// exactly as the crash left them.
-	if err := db.Abandon(); err != nil {
-		return fmt.Errorf("abandon: %w", err)
-	}
+	// hist is dropped without Close, as a killed process leaves it.
 
 	reopened, err := findex.Open(path)
 	if err != nil {
 		return fmt.Errorf("reopen after crash: %w", err)
 	}
-	defer reopened.Close()
+	defer reopened.Close() // idempotent after the explicit Close below
 
 	for _, a := range acks {
 		got, ok, err := reopened.Get(a.repo, a.seq)
@@ -156,7 +155,33 @@ func run(dir string, runs int, crash int64, seed uint64) error {
 		}
 	}
 
-	fmt.Printf("storesmoke: OK — %d acknowledged runs survived an injected crash at %d WAL bytes; index/full-scan parity holds\n",
+	// The recovered log takes new appends that survive another reopen.
+	extra := synthRun(rng, runs)
+	seq, err := reopened.Append(extra)
+	if err != nil {
+		return fmt.Errorf("append after recovery: %w", err)
+	}
+	if err := reopened.Close(); err != nil {
+		return err
+	}
+	again, err := findex.Open(path)
+	if err != nil {
+		return fmt.Errorf("second reopen: %w", err)
+	}
+	defer again.Close()
+	got, ok, err := again.Get(extra.Repo, seq)
+	if err != nil || !ok || got.Total != extra.Total {
+		return fmt.Errorf("run %s/%d appended after recovery lost by the second reopen (ok=%v err=%v)", extra.Repo, seq, ok, err)
+	}
+	all, _, err = again.QueryString("", findex.Options{})
+	if err != nil {
+		return err
+	}
+	if len(all) != len(acks)+1 {
+		return fmt.Errorf("second reopen holds %d runs, want %d", len(all), len(acks)+1)
+	}
+
+	fmt.Printf("storesmoke: OK — %d acknowledged runs survived a crash cutting the log at %d bytes; index/full-scan parity holds; appends after recovery persist\n",
 		len(acks), crash)
 	return nil
 }

@@ -2,9 +2,8 @@
 // bench`. It runs the workloads the serving path is built from — tokenize,
 // base-metric extraction, lint, full analysis, incremental one-file
 // applies against a warm session, forest training, batched forest
-// inference, model scoring, model loading, and the embedded storage
-// engine (committed puts, snapshot scans, index-planned history queries)
-// — at pinned scales,
+// inference, model scoring, model loading, and index-planned findings
+// history queries — at pinned scales,
 // measures ns/op, allocs/op, and bytes/op from runtime.MemStats deltas, and
 // emits a JSON report (BENCH_<rev>.json) that verify.sh compares against
 // the committed baseline.
@@ -48,13 +47,10 @@ const (
 	// ModelTrees is the per-hypothesis tree count of the persisted
 	// benchmark model (model_load_* workloads).
 	ModelTrees = 20
-	// StoreKeys / StoreValueBytes size the KV store the store_put and
-	// store_scan workloads run against; StoreRuns / StoreRepos size the
-	// findings history behind query_indexed.
-	StoreKeys       = 2000
-	StoreValueBytes = 256
-	StoreRuns       = 256
-	StoreRepos      = 4
+	// StoreRuns / StoreRepos size the findings history behind
+	// query_indexed.
+	StoreRuns  = 256
+	StoreRepos = 4
 	// CoalesceFanout is the burst width of the score_coalesced workload:
 	// how many identical concurrent scores one op fans through the
 	// singleflight group (the request coalescer's dedup primitive).
@@ -175,7 +171,6 @@ func Run(opts Options) (*Report, error) {
 			"fit_depth":       FitDepth,
 			"batch_rows":      BatchRows,
 			"model_trees":     ModelTrees,
-			"store_keys":      StoreKeys,
 			"store_runs":      StoreRuns,
 			"coalesce_fanout": CoalesceFanout,
 		},

@@ -18,7 +18,6 @@ import (
 	"repro/internal/ml"
 	"repro/internal/singleflight"
 	"repro/internal/stats"
-	"repro/internal/store"
 	"repro/internal/store/findex"
 	"repro/internal/trace"
 )
@@ -59,30 +58,20 @@ type workloads struct {
 	sess      *core.Session
 	editCount int
 
-	// Storage-engine fixtures: a KV store pre-seeded with StoreKeys rows
-	// (store_put overwrites them in rotation, store_scan walks them all)
-	// and a findings history of StoreRuns runs for query_indexed. Both run
-	// with NoSync so the workloads measure engine CPU, not fsync latency —
-	// the variance of a CI box's disk must not gate verification.
-	storeDB   *store.DB
-	storeKeys [][]byte
-	storeVal  []byte
-	putCount  int
-	hist      *findex.Store
-	tmpDir    string
+	// The findings history of StoreRuns runs query_indexed reads. Only
+	// the query is timed, so the fsyncs of seeding it are not measured.
+	hist   *findex.Store
+	tmpDir string
 
 	// flight is the singleflight group score_coalesced fans bursts
 	// through; shared so the key bookkeeping is steady-state.
 	flight singleflight.Group[float64]
 }
 
-// close releases the storage fixtures; Run defers it.
+// close releases the history fixture; Run defers it.
 func (w *workloads) close() {
 	if w.hist != nil {
 		w.hist.Close()
-	}
-	if w.storeDB != nil {
-		w.storeDB.Close()
 	}
 	if w.tmpDir != "" {
 		os.RemoveAll(w.tmpDir)
@@ -162,50 +151,18 @@ func setupWorkloads(dir string) (*workloads, error) {
 	return w, nil
 }
 
-// setupStore builds the storage-engine fixtures outside the timed loops:
-// a KV store of StoreKeys rows and a findings history of StoreRuns
-// deterministic runs across StoreRepos repos.
+// setupStore builds the findings history of StoreRuns deterministic runs
+// across StoreRepos repos outside the timed loops.
 func (w *workloads) setupStore() error {
 	dir, err := os.MkdirTemp("", "secmetric-bench-store")
 	if err != nil {
 		return fmt.Errorf("bench: %w", err)
 	}
 	w.tmpDir = dir
-	w.storeDB, err = store.Open(filepath.Join(dir, "kv.db"), store.Options{NoSync: true})
+	w.hist, err = findex.Open(filepath.Join(dir, "findings.db"))
 	if err != nil {
 		return fmt.Errorf("bench: %w", err)
 	}
-	w.storeVal = make([]byte, StoreValueBytes)
-	for i := range w.storeVal {
-		w.storeVal[i] = byte(i*131 + 17)
-	}
-	w.storeKeys = make([][]byte, StoreKeys)
-	for i := range w.storeKeys {
-		w.storeKeys[i] = []byte(fmt.Sprintf("bench/k%06d", i))
-	}
-	const batch = 200
-	for lo := 0; lo < StoreKeys; lo += batch {
-		hi := lo + batch
-		if hi > StoreKeys {
-			hi = StoreKeys
-		}
-		if err := w.storeDB.Update(func(tx *store.Tx) error {
-			for _, k := range w.storeKeys[lo:hi] {
-				if err := tx.Put(k, w.storeVal); err != nil {
-					return err
-				}
-			}
-			return nil
-		}); err != nil {
-			return fmt.Errorf("bench: seed store: %w", err)
-		}
-	}
-
-	hdb, err := store.Open(filepath.Join(dir, "findings.db"), store.Options{NoSync: true})
-	if err != nil {
-		return fmt.Errorf("bench: %w", err)
-	}
-	w.hist = findex.OpenDB(hdb)
 	rng := stats.NewRNG(benchSeed + 3)
 	files := []string{"src/a.c", "src/b.c", "src/c.c", "lib/d.c"}
 	cwes := []int{0, 78, 119, 121, 134, 369, 676}
@@ -392,38 +349,6 @@ func (w *workloads) list() []workload {
 				panic(err)
 			}
 			sink += float64(len(m.Hypotheses))
-		}},
-		{"store_put", func() {
-			// One committed overwrite per op, rotating through the seeded
-			// keys: the copy-on-write update path plus WAL encode/commit,
-			// with the freelist recycling the shadowed pages.
-			k := w.storeKeys[w.putCount%StoreKeys]
-			w.putCount++
-			w.storeVal[0] = byte(w.putCount)
-			if err := w.storeDB.Update(func(tx *store.Tx) error {
-				return tx.Put(k, w.storeVal)
-			}); err != nil {
-				panic(err)
-			}
-			sink++
-		}},
-		{"store_scan", func() {
-			// Full in-order walk of the StoreKeys rows through an MVCC
-			// snapshot — the read path /v1/query's full scan sits on.
-			snap, err := w.storeDB.Snapshot()
-			if err != nil {
-				panic(err)
-			}
-			n := 0
-			err = snap.Scan(nil, nil, func(k, v []byte) (bool, error) {
-				n += len(v)
-				return true, nil
-			})
-			snap.Release()
-			if err != nil {
-				panic(err)
-			}
-			sink += float64(n)
 		}},
 		{"query_indexed", func() {
 			// The acceptance query over the seeded history: index-planned

@@ -135,7 +135,7 @@ func TestHistoryRecordingAndQuery(t *testing.T) {
 		"secmetricd_history_runs_total 3",
 		"secmetricd_history_errors_total 0",
 		"secmetricd_featcache_corrupt_total 0",
-		"secmetricd_store_pages",
+		"secmetricd_store_bytes",
 		"secmetricd_store_commits_total",
 	} {
 		if !strings.Contains(body, want) {

@@ -880,22 +880,13 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintln(w, "# HELP secmetricd_history_errors_total Failed history appends (the scoring request itself still succeeded).")
 		fmt.Fprintln(w, "# TYPE secmetricd_history_errors_total counter")
 		fmt.Fprintf(w, "secmetricd_history_errors_total %d\n", s.historyErrors.Load())
-		st := s.cfg.History.DB().Stats()
-		fmt.Fprintln(w, "# HELP secmetricd_store_pages Page-file size of the history store, in pages.")
-		fmt.Fprintln(w, "# TYPE secmetricd_store_pages gauge")
-		fmt.Fprintf(w, "secmetricd_store_pages %d\n", st.PageCount)
-		fmt.Fprintln(w, "# HELP secmetricd_store_free_pages Immediately reusable pages in the history store's freelist.")
-		fmt.Fprintln(w, "# TYPE secmetricd_store_free_pages gauge")
-		fmt.Fprintf(w, "secmetricd_store_free_pages %d\n", st.FreePages)
-		fmt.Fprintln(w, "# HELP secmetricd_store_wal_bytes Current write-ahead-log length of the history store.")
-		fmt.Fprintln(w, "# TYPE secmetricd_store_wal_bytes gauge")
-		fmt.Fprintf(w, "secmetricd_store_wal_bytes %d\n", st.WALBytes)
-		fmt.Fprintln(w, "# HELP secmetricd_store_commits_total Committed history-store transactions since open.")
+		st := s.cfg.History.Stats()
+		fmt.Fprintln(w, "# HELP secmetricd_store_bytes Length of the history store's log file.")
+		fmt.Fprintln(w, "# TYPE secmetricd_store_bytes gauge")
+		fmt.Fprintf(w, "secmetricd_store_bytes %d\n", st.Bytes)
+		fmt.Fprintln(w, "# HELP secmetricd_store_commits_total Runs appended to the history store since open.")
 		fmt.Fprintln(w, "# TYPE secmetricd_store_commits_total counter")
-		fmt.Fprintf(w, "secmetricd_store_commits_total %d\n", st.Commits)
-		fmt.Fprintln(w, "# HELP secmetricd_store_checkpoints_total History-store WAL checkpoints since open.")
-		fmt.Fprintln(w, "# TYPE secmetricd_store_checkpoints_total counter")
-		fmt.Fprintf(w, "secmetricd_store_checkpoints_total %d\n", st.Checkpoints)
+		fmt.Fprintf(w, "secmetricd_store_commits_total %d\n", st.Appends)
 	}
 	fmt.Fprintln(w, "# HELP secmetricd_uptime_seconds Seconds since the daemon started.")
 	fmt.Fprintln(w, "# TYPE secmetricd_uptime_seconds gauge")

@@ -7,9 +7,9 @@ import (
 	"repro/internal/store/query"
 )
 
-// evalExpr applies a parsed filter to a run. Semantics, shared verbatim by
-// the full-scan and index paths (the planner only narrows candidates; this
-// filter is always the final word):
+// evalExpr applies a parsed filter to a run's table row. Semantics, shared
+// verbatim by the full-scan and index paths (the planner only narrows
+// candidates; this filter is always the final word):
 //
 //   - score: runs without a recorded score never match a score predicate.
 //   - severity: compares the run's maximum finding severity.
@@ -17,7 +17,7 @@ import (
 //   - file: "file = x" means the run has at least one finding in x;
 //     != is its complement.
 //   - time: Unix seconds.
-func evalExpr(r *Run, e query.Expr) (bool, error) {
+func evalExpr(r *row, e query.Expr) (bool, error) {
 	switch n := e.(type) {
 	case *query.And:
 		l, err := evalExpr(r, n.L)
@@ -58,44 +58,38 @@ func cmpNum(a float64, op query.Op, b float64) bool {
 	}
 }
 
-func evalCmp(r *Run, c *query.Cmp) (bool, error) {
+func evalCmp(r *row, c *query.Cmp) (bool, error) {
 	switch c.Field {
 	case query.FieldScore:
-		if !r.HasScore {
+		if !r.hasScore {
 			return false, nil
 		}
-		return cmpNum(r.Score, c.Op, c.Val.Num), nil
+		return cmpNum(r.score, c.Op, c.Val.Num), nil
 	case query.FieldSeq:
-		return cmpNum(float64(r.Seq), c.Op, c.Val.Num), nil
+		return cmpNum(float64(r.seq), c.Op, c.Val.Num), nil
 	case query.FieldTotal:
-		return cmpNum(float64(r.Total), c.Op, c.Val.Num), nil
+		return cmpNum(float64(r.total), c.Op, c.Val.Num), nil
 	case query.FieldCWE:
-		return cmpNum(float64(r.CountsByCWE[c.CWE]), c.Op, c.Val.Num), nil
+		return cmpNum(float64(r.count(c.CWE)), c.Op, c.Val.Num), nil
 	case query.FieldSeverity:
 		lvl, err := query.SeverityOperand(c.Val)
 		if err != nil {
 			return false, err
 		}
-		return cmpNum(float64(r.MaxSeverity), c.Op, float64(lvl)), nil
+		return cmpNum(float64(r.maxSev), c.Op, float64(lvl)), nil
 	case query.FieldTime:
 		t, err := query.TimeOperand(c.Val)
 		if err != nil {
 			return false, err
 		}
-		return cmpNum(float64(r.Time), c.Op, float64(t)), nil
+		return cmpNum(float64(r.time), c.Op, float64(t)), nil
 	case query.FieldRepo:
 		if c.Op == query.OpEq {
-			return r.Repo == c.Val.Str, nil
+			return r.repo == c.Val.Str, nil
 		}
-		return r.Repo != c.Val.Str, nil
+		return r.repo != c.Val.Str, nil
 	case query.FieldFile:
-		has := false
-		for _, f := range r.Findings {
-			if f.File == c.Val.Str {
-				has = true
-				break
-			}
-		}
+		has := r.hasFile(c.Val.Str)
 		if c.Op == query.OpEq {
 			return has, nil
 		}
@@ -109,7 +103,7 @@ func evalCmp(r *Run, c *query.Cmp) (bool, error) {
 // (and the no-ORDER-BY default) broken by (repo, seq) ascending. The same
 // comparator serves the index and full-scan paths, a precondition of their
 // byte-for-byte parity.
-func sortRuns(runs []*Run, q *query.Query) {
+func sortRuns(runs []*row, q *query.Query) {
 	sort.SliceStable(runs, func(i, j int) bool {
 		a, b := runs[i], runs[j]
 		if q.OrderBy != "" {
@@ -117,54 +111,43 @@ func sortRuns(runs []*Run, q *query.Query) {
 				return less != q.Desc // reverse for DESC
 			}
 		}
-		if a.Repo != b.Repo {
-			return a.Repo < b.Repo
+		if a.repo != b.repo {
+			return a.repo < b.repo
 		}
-		return a.Seq < b.Seq
+		return a.seq < b.seq
 	})
 }
 
 // orderLess compares a and b on the ORDER BY key (ascending sense),
 // returning eq=true when tied.
-func orderLess(a, b *Run, q *query.Query) (less, eq bool) {
+func orderLess(a, b *row, q *query.Query) (less, eq bool) {
 	switch q.OrderBy {
 	case query.FieldRepo:
-		return a.Repo < b.Repo, a.Repo == b.Repo
+		return a.repo < b.repo, a.repo == b.repo
 	case query.FieldFile:
-		fa, fb := firstFile(a), firstFile(b)
-		return fa < fb, fa == fb
+		return a.first < b.first, a.first == b.first
 	}
 	na, nb := orderNum(a, q), orderNum(b, q)
 	return na < nb, na == nb
 }
 
-func orderNum(r *Run, q *query.Query) float64 {
+func orderNum(r *row, q *query.Query) float64 {
 	switch q.OrderBy {
 	case query.FieldScore:
 		// Unscored runs order as 0 (filtering is stricter: they never
 		// match score predicates).
-		return r.Score
+		return r.score
 	case query.FieldTime:
-		return float64(r.Time)
+		return float64(r.time)
 	case query.FieldSeq:
-		return float64(r.Seq)
+		return float64(r.seq)
 	case query.FieldTotal:
-		return float64(r.Total)
+		return float64(r.total)
 	case query.FieldSeverity:
-		return float64(r.MaxSeverity)
+		return float64(r.maxSev)
 	case query.FieldCWE:
-		return float64(r.CountsByCWE[q.OrderCWE])
+		return float64(r.count(q.OrderCWE))
 	default:
 		return 0
 	}
-}
-
-func firstFile(r *Run) string {
-	first := ""
-	for _, f := range r.Findings {
-		if first == "" || f.File < first {
-			first = f.File
-		}
-	}
-	return first
 }

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/cwe"
 	"repro/internal/findings"
+	"repro/internal/store/query"
 )
 
 func openTemp(t *testing.T) *Store {
@@ -180,44 +181,61 @@ func TestQueryBasics(t *testing.T) {
 	}
 }
 
+// parityQueries is the planner battery: each query's planned answer must
+// equal the forced full scan and the direct evaluation over the appended
+// runs, and wantIndex says whether the planner should pick an index.
+var parityQueries = []struct {
+	src       string
+	wantIndex bool
+}{
+	{"cwe121 > 0", true},
+	{"cwe121 >= 2 ORDER BY cwe121 DESC", true},
+	{"cwe119 = 1", true},
+	{"severity >= high", true},
+	{"severity = medium ORDER BY time ASC", true},
+	{"severity > low LIMIT 7", true},
+	{`file = "src/f1.c"`, true},
+	{`file = "src/f1.c" AND cwe121 > 0`, true},
+	{"time >= 1700003600 AND time < 1700100000", true},
+	{`repo = "app-b"`, true},
+	{`repo = "app-b" AND score > 0.5 ORDER BY score DESC LIMIT 5`, true},
+	{"cwe121 > 0 OR cwe78 > 0", false}, // OR blocks the planner
+	{"NOT severity >= high", false},
+	{"score > 0.3 ORDER BY score DESC", false},
+	{"total >= 3", false},
+	{"cwe121 < 2", false}, // not presence-implying
+	{"severity <= low", false},
+	{"", false},
+	{"cwe121 > 0 AND severity >= high AND time >= 1700000000 ORDER BY score DESC LIMIT 10", true},
+}
+
+// seedParity appends the parity data set and returns the runs as stored:
+// each with the seq Append assigned.
+func seedParity(t *testing.T, s *Store) []Run {
+	t.Helper()
+	rng := rand.New(rand.NewSource(99))
+	repos := []string{"app-a", "app-b", "app-c"}
+	var runs []Run
+	for i := 0; i < 120; i++ {
+		run := synthRun(rng, repos[rng.Intn(len(repos))], i)
+		seq, err := s.Append(run)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run.Seq = seq
+		runs = append(runs, run)
+	}
+	return runs
+}
+
 // TestIndexFullScanParity is the acceptance check: across randomized data
 // and a battery of queries, the planned path must return byte-identical
 // results to the forced full scan, and indexable predicates must actually
 // use an index.
 func TestIndexFullScanParity(t *testing.T) {
 	s := openTemp(t)
-	rng := rand.New(rand.NewSource(99))
-	repos := []string{"app-a", "app-b", "app-c"}
-	for i := 0; i < 120; i++ {
-		if _, err := s.Append(synthRun(rng, repos[rng.Intn(len(repos))], i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	queries := []struct {
-		src       string
-		wantIndex bool
-	}{
-		{"cwe121 > 0", true},
-		{"cwe121 >= 2 ORDER BY cwe121 DESC", true},
-		{"cwe119 = 1", true},
-		{"severity >= high", true},
-		{"severity = medium ORDER BY time ASC", true},
-		{"severity > low LIMIT 7", true},
-		{`file = "src/f1.c"`, true},
-		{`file = "src/f1.c" AND cwe121 > 0`, true},
-		{"time >= 1700003600 AND time < 1700100000", true},
-		{`repo = "app-b"`, true},
-		{`repo = "app-b" AND score > 0.5 ORDER BY score DESC LIMIT 5`, true},
-		{"cwe121 > 0 OR cwe78 > 0", false}, // OR blocks the planner
-		{"NOT severity >= high", false},
-		{"score > 0.3 ORDER BY score DESC", false},
-		{"total >= 3", false},
-		{"cwe121 < 2", false}, // not presence-implying
-		{"severity <= low", false},
-		{"", false},
-		{"cwe121 > 0 AND severity >= high AND time >= 1700000000 ORDER BY score DESC LIMIT 10", true},
-	}
-	for _, qc := range queries {
+	seedParity(t, s)
+	for _, qc := range parityQueries {
 		planned, ex, err := s.QueryString(qc.src, Options{})
 		if err != nil {
 			t.Fatalf("query %q: %v", qc.src, err)
@@ -276,5 +294,88 @@ func TestExplainCounters(t *testing.T) {
 	}
 	if got := ex.String(); !strings.Contains(got, "full scan") || !strings.Contains(got, "candidates=11") {
 		t.Fatalf("explain string: %q", got)
+	}
+}
+
+// TestQueryMatchesDirectEvaluation holds the store to an oracle that never
+// touches it: each parity query evaluated directly over the runs as they
+// were appended. Both the planned path and the full scan must return those
+// runs byte for byte.
+func TestQueryMatchesDirectEvaluation(t *testing.T) {
+	s := openTemp(t)
+	runs := seedParity(t, s)
+	byRow := make(map[*row]Run)
+	for _, run := range runs {
+		byRow[newRow(&run)] = run
+	}
+	for _, qc := range parityQueries {
+		q, err := query.Parse(qc.src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var matches []*row
+		for r := range byRow {
+			if q.Where != nil {
+				ok, err := evalExpr(r, q.Where)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !ok {
+					continue
+				}
+			}
+			matches = append(matches, r)
+		}
+		sortRuns(matches, q)
+		if q.Limit >= 0 && len(matches) > q.Limit {
+			matches = matches[:q.Limit]
+		}
+		want := make([]Run, len(matches))
+		for i, r := range matches {
+			want[i] = byRow[r]
+		}
+		wj, _ := json.Marshal(want)
+		for _, opt := range []Options{{}, {ForceFullScan: true}} {
+			got, _, err := s.Query(q, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if gj, _ := json.Marshal(got); string(gj) != string(wj) {
+				t.Errorf("%q (full scan %v) differs from direct evaluation:\n got:  %s\n want: %s", qc.src, opt.ForceFullScan, gj, wj)
+			}
+		}
+	}
+}
+
+// TestFileIndexCoversEveryName: the file index lists every distinct file
+// name, including "" and names containing NUL, so an equality on such a
+// name takes the index and still answers exactly what the full scan does.
+func TestFileIndexCoversEveryName(t *testing.T) {
+	s := openTemp(t)
+	for _, name := range []string{"", "a\x00b", "src/a.c"} {
+		rep := &findings.Report{Findings: []findings.Finding{
+			{Rule: "r", CWE: 121, File: name, Line: 1, Severity: findings.SevHigh},
+		}}
+		if _, err := s.Append(NewRun("app", "t", rep)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, src := range []string{`file = ""`, `file = "a\x00b"`} {
+		planned, ex, err := s.QueryString(src, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		full, _, err := s.QueryString(src, Options{ForceFullScan: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pj, _ := json.Marshal(planned)
+		fj, _ := json.Marshal(full)
+		if string(pj) != string(fj) || len(full) != 1 {
+			t.Errorf("%s: planned %d runs (%s), full scan %d:\n planned: %s\n full:    %s", src, len(planned), ex, len(full), pj, fj)
+		}
+		if ex.FullScan {
+			t.Errorf("%s: expected the file index, got a full scan", src)
+		}
 	}
 }

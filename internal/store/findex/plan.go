@@ -1,13 +1,11 @@
 package findex
 
 import (
-	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"math"
-	"strings"
+	"sort"
 
-	"repro/internal/store"
+	"repro/internal/findings"
 	"repro/internal/store/query"
 )
 
@@ -24,10 +22,11 @@ type Explain struct {
 	// Index names the access path, e.g. `cwe121`, `file("src/a.c")`,
 	// `severity[high..critical]`; empty for a full scan.
 	Index string
-	// FullScan reports whether every run row was visited.
+	// FullScan reports whether every run was a candidate.
 	FullScan bool
-	// Candidates counts rows fetched (index hits, or all rows for a full
-	// scan); Matched counts rows that passed the filter, before LIMIT.
+	// Candidates counts runs the access path yielded (index hits, or all
+	// runs for a full scan); Matched counts runs that passed the filter,
+	// before LIMIT.
 	Candidates int
 	Matched    int
 }
@@ -118,7 +117,7 @@ func planQuery(where query.Expr) *plan {
 	andLeaves(where, &cmps)
 
 	for _, c := range cmps {
-		if c.Field == query.FieldFile && c.Op == query.OpEq && !strings.ContainsRune(c.Val.Str, 0) {
+		if c.Field == query.FieldFile && c.Op == query.OpEq {
 			return &plan{kind: planFile, file: c.Val.Str}
 		}
 	}
@@ -164,7 +163,7 @@ func planQuery(where query.Expr) *plan {
 		return p
 	}
 	for _, c := range cmps {
-		if c.Field == query.FieldRepo && c.Op == query.OpEq && !strings.ContainsRune(c.Val.Str, 0) {
+		if c.Field == query.FieldRepo && c.Op == query.OpEq {
 			return &plan{kind: planRepo, repo: c.Val.Str}
 		}
 	}
@@ -227,8 +226,11 @@ func (p *plan) setHi(t int64) {
 
 // Query executes a parsed query and reports how it ran. Results are sorted
 // deterministically (ORDER BY key, then repo, seq) and capped by LIMIT.
-// The planned path and the full-scan path return byte-identical results;
-// opt.ForceFullScan exists so callers can check.
+// The planner only picks which rows of the run table are candidates; the
+// filter, sort and LIMIT run on the table, and only the returned runs are
+// read from the log. The planned path and the full-scan path therefore
+// return byte-identical results; opt.ForceFullScan exists so callers can
+// check.
 func (s *Store) Query(q *query.Query, opt Options) ([]Run, *Explain, error) {
 	p := planQuery(q.Where)
 	if opt.ForceFullScan {
@@ -236,101 +238,25 @@ func (s *Store) Query(q *query.Query, opt Options) ([]Run, *Explain, error) {
 	}
 	ex := &Explain{Index: p.describe(), FullScan: p.kind == planFull}
 
-	var matches []*Run
-	err := s.db.View(func(snap *store.Snapshot) error {
-		collect := func(run *Run) error {
+	var matches []*row
+	s.tmu.RLock()
+	for _, list := range s.t.candidates(p) {
+		for _, r := range list {
 			ex.Candidates++
 			if q.Where != nil {
-				ok, err := evalExpr(run, q.Where)
-				if err != nil || !ok {
-					return err
-				}
-			}
-			matches = append(matches, run)
-			return nil
-		}
-		if p.kind == planFull {
-			return snap.Scan([]byte{prefixRun}, prefixEnd([]byte{prefixRun}), func(k, v []byte) (bool, error) {
-				run := new(Run)
-				if err := json.Unmarshal(v, run); err != nil {
-					return false, fmt.Errorf("findex: run row %q: %w", k, err)
-				}
-				return true, collect(run)
-			})
-		}
-		fetch := func(repo string, seq uint64) error {
-			v, ok, err := snap.Get(runKey(repo, seq))
-			if err != nil {
-				return err
-			}
-			if !ok {
-				return fmt.Errorf("findex: index points at missing run %s/%d", repo, seq)
-			}
-			run := new(Run)
-			if err := json.Unmarshal(v, run); err != nil {
-				return fmt.Errorf("findex: run %s/%d: %w", repo, seq, err)
-			}
-			return collect(run)
-		}
-		scanIndex := func(start, end []byte, prefixLen int) error {
-			return snap.Scan(start, end, func(k, v []byte) (bool, error) {
-				repo, seq, err := tailRepoSeq(k, prefixLen)
+				ok, err := evalExpr(r, q.Where)
 				if err != nil {
-					return false, err
+					s.tmu.RUnlock()
+					return nil, nil, err
 				}
-				return true, fetch(repo, seq)
-			})
+				if !ok {
+					continue
+				}
+			}
+			matches = append(matches, r)
 		}
-		switch p.kind {
-		case planFile:
-			prefix := append([]byte{prefixFile}, p.file...)
-			prefix = append(prefix, 0)
-			return scanIndex(prefix, prefixEnd(prefix), len(prefix))
-		case planCWE:
-			prefix := make([]byte, 5)
-			prefix[0] = prefixCWE
-			binary.BigEndian.PutUint32(prefix[1:], p.cwe)
-			return scanIndex(prefix, prefixEnd(prefix), len(prefix))
-		case planSev:
-			for lvl := p.sevLo; lvl <= p.sevHi; lvl++ {
-				prefix := []byte{prefixSev, byte(lvl)}
-				if err := scanIndex(prefix, prefixEnd(prefix), len(prefix)); err != nil {
-					return err
-				}
-			}
-			return nil
-		case planTime:
-			start := []byte{prefixTime}
-			if p.hasLo {
-				start = append(start, be8(biasTime(p.timeLo))...)
-			}
-			end := prefixEnd([]byte{prefixTime})
-			if p.hasHi {
-				end = append([]byte{prefixTime}, be8(biasTime(p.timeHi))...)
-			}
-			return snap.Scan(start, end, func(k, v []byte) (bool, error) {
-				repo, seq, err := tailRepoSeq(k, 9)
-				if err != nil {
-					return false, err
-				}
-				return true, fetch(repo, seq)
-			})
-		case planRepo:
-			prefix := append([]byte{prefixRun}, p.repo...)
-			prefix = append(prefix, 0)
-			return snap.Scan(prefix, prefixEnd(prefix), func(k, v []byte) (bool, error) {
-				run := new(Run)
-				if err := json.Unmarshal(v, run); err != nil {
-					return false, fmt.Errorf("findex: run row %q: %w", k, err)
-				}
-				return true, collect(run)
-			})
-		}
-		return fmt.Errorf("findex: unknown plan kind %d", p.kind)
-	})
-	if err != nil {
-		return nil, nil, err
 	}
+	s.tmu.RUnlock()
 	ex.Matched = len(matches)
 	sortRuns(matches, q)
 	if q.Limit >= 0 && len(matches) > q.Limit {
@@ -338,9 +264,45 @@ func (s *Store) Query(q *query.Query, opt Options) ([]Run, *Explain, error) {
 	}
 	out := make([]Run, len(matches))
 	for i, r := range matches {
-		out[i] = *r
+		if err := s.read(r, &out[i]); err != nil {
+			return nil, nil, err
+		}
 	}
 	return out, ex, nil
+}
+
+// candidates returns the rows the plan's access path yields.
+func (t *table) candidates(p *plan) [][]*row {
+	switch p.kind {
+	case planFile:
+		return [][]*row{t.byFile[p.file]}
+	case planCWE:
+		return [][]*row{t.byCWE[p.cwe]}
+	case planSev:
+		var lists [][]*row
+		for lvl := p.sevLo; lvl <= p.sevHi; lvl++ {
+			lists = append(lists, t.bySev[findings.Severity(lvl)])
+		}
+		return lists
+	case planTime:
+		at := func(ts int64) int {
+			return sort.Search(len(t.byTime), func(i int) bool { return t.byTime[i].time >= ts })
+		}
+		lo, hi := 0, len(t.byTime)
+		if p.hasLo {
+			lo = at(p.timeLo)
+		}
+		if p.hasHi {
+			hi = at(p.timeHi)
+		}
+		if hi < lo {
+			hi = lo
+		}
+		return [][]*row{t.byTime[lo:hi]}
+	case planRepo:
+		return [][]*row{t.byRepo[p.repo]}
+	}
+	return [][]*row{t.all}
 }
 
 // QueryString parses and executes src in one call.

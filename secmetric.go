@@ -263,7 +263,7 @@ func SaveModelBinary(m *Model, path string) error {
 // saveModelAtomic delegates to the shared durable-write helper: the model
 // is serialized to a temp file in the destination directory, fsynced,
 // renamed into place, and the directory fsynced — the same discipline the
-// feature cache and the storage engine use, so a crash right after train
+// feature cache uses, so a crash right after train
 // can never surface an empty or torn model file to a later LoadModel.
 func saveModelAtomic(path string, write func(io.Writer) error) error {
 	if err := durable.WriteFileTo(path, 0o644, write); err != nil {

@@ -72,14 +72,14 @@ go run ./cmd/secmetric bench -quick -rev verify -out "$benchtmp/bench.json" \
 	-against BENCH_pr10.json -max-regress 0.25
 rm -rf "$benchtmp"
 
-# Store smoke: the embedded engine must survive an injected mid-commit
-# crash losing no acknowledged run (two crash offsets), and MVCC snapshot
-# reads must stay byte-identical while a writer commits 100 runs — the
-# parity acceptance test, run explicitly under the race detector.
+# Store smoke: the findings log must survive a crash cutting it mid-append
+# losing no acknowledged run (two crash offsets), and queries racing a
+# writer must always see a prefix of its appends — the crash torture and
+# the concurrency test, run explicitly under the race detector.
 echo "== store smoke (crash recovery + snapshot parity) =="
 go run ./cmd/storesmoke -crash $((128 * 1024)) -runs 600
 go run ./cmd/storesmoke -crash $((300 * 1024)) -runs 1200 -seed 99
-go test -race -count=1 -run 'TestSnapshotParityUnderConcurrentWriter|TestCrashRecoveryTorture' ./internal/store
+go test -race -count=1 -run 'TestSnapshotParityUnderConcurrentWriter|TestCrashRecoveryTorture' ./internal/store/findex
 
 # Rank smoke: the function-level ranking must be byte-identical at any
 # worker-pool width, and the acceptance ordering on examples/vulnapp must
